@@ -162,8 +162,8 @@ func TestRouterCLIFailoverUnderLoad(t *testing.T) {
 	artifact := filepath.Join(dir, "v1.rapidnn")
 	writeFlat(t, artifact, makeComposed(t, 1))
 
-	b1 := start(t, serveBin, "-model", "m="+artifact, "-max-delay", "1ms", "-replica-id", "r1")
-	b2 := start(t, serveBin, "-model", "m="+artifact, "-max-delay", "1ms", "-replica-id", "r2")
+	b1 := start(t, serveBin, "-model", "m="+artifact, "-replica-id", "r1")
+	b2 := start(t, serveBin, "-model", "m="+artifact, "-replica-id", "r2")
 	rt := start(t, routerBin,
 		"-replica", b1.addr, "-replica", b2.addr,
 		"-poll-interval", "50ms", "-down-after", "2", "-retries", "2")
@@ -255,8 +255,8 @@ func TestRouterCLICanaryRolloutGatesAndRollsBack(t *testing.T) {
 		"-registry", regDir,
 		"-poll-interval", "50ms",
 		"-canary-fraction", "0.5", "-observe-window", "100ms")
-	start(t, serveBin, "-model", "m="+reg.Path("m", "v1"), "-max-delay", "1ms", "-register", rt.addr)
-	start(t, serveBin, "-model", "m="+reg.Path("m", "v1"), "-max-delay", "1ms", "-register", rt.addr)
+	start(t, serveBin, "-model", "m="+reg.Path("m", "v1"), "-register", rt.addr)
+	start(t, serveBin, "-model", "m="+reg.Path("m", "v1"), "-register", rt.addr)
 	waitHealthy(t, rt.addr, 2)
 
 	rollTo := func(version string) (int, rollout.Status) {
@@ -441,8 +441,8 @@ func chaosFires(t *testing.T, base string) uint64 {
 // successes and explicit sheds — never a raw backend error — with a bounded
 // tail (hedging routes around the slow replica) and bounded attempt
 // amplification (the retry budget caps retries+hedges as a fraction of
-// primaries). A request arriving with a deadline below the replicas' batch
-// floor is rejected at admission, not enqueued.
+// primaries). A request whose per-attempt deadline share rounds down to
+// zero is rejected at the replicas' admission, not enqueued.
 func TestRouterChaosSmoke(t *testing.T) {
 	routerBin := buildBinary(t, ".", "rapidnn-router")
 	serveBin := buildBinary(t, "repro/cmd/rapidnn-serve", "rapidnn-serve")
@@ -450,9 +450,9 @@ func TestRouterChaosSmoke(t *testing.T) {
 	artifact := filepath.Join(dir, "v1.rapidnn")
 	writeFlat(t, artifact, makeComposed(t, 1))
 
-	slow := start(t, serveBin, "-model", "m="+artifact, "-max-delay", "4ms", "-replica-id", "slow",
+	slow := start(t, serveBin, "-model", "m="+artifact, "-replica-id", "slow",
 		"-chaos", "serve.predict=latency:150ms@0.5", "-chaos-seed", "7")
-	flaky := start(t, serveBin, "-model", "m="+artifact, "-max-delay", "4ms", "-replica-id", "flaky",
+	flaky := start(t, serveBin, "-model", "m="+artifact, "-replica-id", "flaky",
 		"-chaos", "serve.predict=http:500@0.3", "-chaos-seed", "11")
 	rt := start(t, routerBin,
 		"-replica", slow.addr, "-replica", flaky.addr,
@@ -515,9 +515,10 @@ func TestRouterChaosSmoke(t *testing.T) {
 		t.Error("flaky replica's 500 failpoint never fired")
 	}
 
-	// Deadline probe: a 1ms budget is under the replicas' 4ms batch floor,
-	// so it must be rejected at admission — shed with a 503, never batched
-	// into the lane and never answered 200.
+	// Deadline probe: the router splits a 1ms budget across its ring-walk
+	// attempts, and each sub-millisecond share goes on the wire rounded down
+	// to 0ms. A replica must reject that as expired at admission — shed with
+	// a 503, never batched into the lane and never answered 200.
 	probe503 := 0
 	for i := 0; i < 10; i++ {
 		body, _ := json.Marshal(map[string]any{
@@ -536,7 +537,7 @@ func TestRouterChaosSmoke(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusOK {
-			t.Fatalf("deadline probe %d answered 200: a 1ms budget beat a 4ms batch floor", i)
+			t.Fatalf("deadline probe %d answered 200: a 1ms budget outlived its sub-millisecond attempt shares", i)
 		}
 		if resp.StatusCode == http.StatusServiceUnavailable {
 			probe503++

@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Multi-target load generation for the fleet evaluation: the single-target
 // drivers in loadgen.go hold one fn; these spread an open-loop arrival
@@ -25,33 +22,11 @@ func FanOut(targets ...func(i int) error) func(i int) error {
 // requests arrive at the fixed interval regardless of completions, classOf
 // assigns each request index a class (a tenant name, a replica URL), and the
 // result is one LoadReport per class over exactly that class's requests.
-// Error semantics match OpenLoop: fn's error marks the request failed but
-// its latency still counts.
+// Latency and error semantics match OpenLoop: each request is timed from its
+// scheduled arrival, and fn's error marks it failed but its latency still
+// counts.
 func OpenLoopTagged(interval time.Duration, total int, classOf func(i int) string, fn func(i int) error) map[string]LoadReport {
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	lats := make([]time.Duration, total)
-	failed := make([]bool, total)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < total; i++ {
-		// Pace arrivals off the global clock, as OpenLoop does, so a slow
-		// class cannot stretch the offered interval for the others.
-		if wait := start.Add(time.Duration(i) * interval).Sub(time.Now()); wait > 0 {
-			time.Sleep(wait)
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t0 := time.Now()
-			err := fn(i)
-			lats[i] = time.Since(t0)
-			failed[i] = err != nil
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	lats, failed, elapsed := openLoop(interval, total, fn)
 	byClass := make(map[string][]time.Duration)
 	errsByClass := make(map[string]int)
 	for i := 0; i < total; i++ {

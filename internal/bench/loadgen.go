@@ -118,35 +118,58 @@ func ClosedLoop(clients, total int, fn func(i int) error) LoadReport {
 // OpenLoop fires `total` requests at a fixed arrival interval regardless of
 // completions — the offered load stays constant as latency grows, which is
 // what exposes queueing delay and batching gains. Each request runs in its
-// own goroutine; fn receives the request index.
+// own goroutine; fn receives the request index. A request's latency runs
+// from its scheduled arrival, so a stall that delays later requests shows in
+// their latencies instead of vanishing (coordinated omission).
 func OpenLoop(interval time.Duration, total int, fn func(i int) error) LoadReport {
+	lats, failed, elapsed := openLoop(interval, total, fn)
+	errCount := 0
+	for _, f := range failed {
+		if f {
+			errCount++
+		}
+	}
+	return report(lats, errCount, elapsed)
+}
+
+// openLoop is the arrival engine shared by OpenLoop and OpenLoopTagged: it
+// runs fn(i) in its own goroutine at each paced arrival and times it from
+// the arrival's due time. It returns every request's latency and failure
+// flag, indexed by request, and the time from the first arrival to the last
+// completion.
+func openLoop(interval time.Duration, total int, fn func(i int) error) (lats []time.Duration, failed []bool, elapsed time.Duration) {
+	lats, failed = make([]time.Duration, total), make([]bool, total)
+	var wg sync.WaitGroup
+	start := pace(interval, total, func(i int, due time.Time) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := fn(i)
+			lats[i] = time.Since(due)
+			failed[i] = err != nil
+		}()
+	})
+	wg.Wait()
+	return lats, failed, time.Since(start)
+}
+
+// pace calls launch(i, due) for i in [0, total), sleeping until each due
+// time start + i·interval (a non-positive interval means 1ms), and returns
+// start. The schedule comes off the global clock, not per-request sleeps,
+// so a late launch neither stretches the offered interval nor moves a later
+// request's due time. launch runs on the pacing goroutine and must hand the
+// request off rather than perform it.
+func pace(interval time.Duration, total int, launch func(i int, due time.Time)) time.Time {
 	if interval <= 0 {
 		interval = time.Millisecond
 	}
-	lats := make([]time.Duration, total)
-	errCount := 0
-	var errMu sync.Mutex
-	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < total; i++ {
-		// Pace arrivals off the global clock, not per-request sleeps, so a
-		// slow fn cannot stretch the offered interval.
-		if wait := start.Add(time.Duration(i) * interval).Sub(time.Now()); wait > 0 {
+		due := start.Add(time.Duration(i) * interval)
+		if wait := time.Until(due); wait > 0 {
 			time.Sleep(wait)
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t0 := time.Now()
-			err := fn(i)
-			lats[i] = time.Since(t0)
-			if err != nil {
-				errMu.Lock()
-				errCount++
-				errMu.Unlock()
-			}
-		}(i)
+		launch(i, due)
 	}
-	wg.Wait()
-	return report(lats, errCount, time.Since(start))
+	return start
 }

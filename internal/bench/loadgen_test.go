@@ -80,6 +80,70 @@ func TestOpenLoopHoldsArrivalRate(t *testing.T) {
 	}
 }
 
+// TestOpenLoopCountsAStall drives a backend that serves one request at a
+// time and stalls once for 100ms. Every request scheduled during the stall
+// waits behind it, so timed from its scheduled arrival it is slow: the stall
+// must show in the tail and in the mean, not only in the one request that
+// hit it.
+func TestOpenLoopCountsAStall(t *testing.T) {
+	const (
+		total    = 100
+		interval = 2 * time.Millisecond
+		stall    = 100 * time.Millisecond
+		stallAt  = 20
+	)
+	var mu sync.Mutex
+	rep := OpenLoop(interval, total, func(i int) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if i == stallAt {
+			time.Sleep(stall)
+		}
+		return nil
+	})
+	if rep.Requests != total || rep.Errors != 0 {
+		t.Fatalf("report %d requests / %d errors, want %d / 0", rep.Requests, rep.Errors, total)
+	}
+	// About 50 requests arrive during the stall, queued for up to 98ms; the
+	// run's p90 lands among them and the mean carries about 25ms of it.
+	if rep.Max < stall {
+		t.Errorf("max %v below the %v stall", rep.Max, stall)
+	}
+	if rep.P90 < stall/2 {
+		t.Errorf("p90 %v does not show the requests queued behind the %v stall", rep.P90, stall)
+	}
+	if rep.Mean < stall/8 {
+		t.Errorf("mean %v does not carry the %v stall's queueing", rep.Mean, stall)
+	}
+}
+
+// A late launch — the generator itself descheduled — must not move the
+// schedule: later requests keep their due times, so their latencies,
+// measured from due, include the generator's lag.
+func TestPaceKeepsDueTimesThroughALateLaunch(t *testing.T) {
+	const (
+		total    = 6
+		interval = time.Millisecond
+		stall    = 30 * time.Millisecond
+	)
+	dues := make([]time.Time, total)
+	launched := make([]time.Time, total)
+	start := pace(interval, total, func(i int, due time.Time) {
+		dues[i], launched[i] = due, time.Now()
+		if i == 2 {
+			time.Sleep(stall)
+		}
+	})
+	for i, due := range dues {
+		if want := start.Add(time.Duration(i) * interval); !due.Equal(want) {
+			t.Fatalf("request %d due at start+%v, want start+%v", i, due.Sub(start), want.Sub(start))
+		}
+	}
+	if lag := launched[3].Sub(dues[3]); lag < stall-interval {
+		t.Fatalf("request 3 launched %v after its due time, want at least %v", lag, stall-interval)
+	}
+}
+
 func TestLatencyPercentileNearestRank(t *testing.T) {
 	sorted := make([]time.Duration, 100)
 	for i := range sorted {

@@ -8,6 +8,11 @@
 // queue with explicit backpressure, per-request deadlines, graceful
 // draining shutdown, and a metrics surface (/healthz, /stats).
 //
+// The batcher never waits for company. An idle lane dispatches a request
+// the moment it arrives; requests that arrive while a batch is running
+// queue up and leave together as the next batch. Coalescing therefore
+// grows with load and costs nothing when there is none.
+//
 // Coalescing never changes an answer: the per-row evaluation of both
 // execution paths is pure, so a request's prediction is bit-identical no
 // matter which batch it lands in, how large that batch is, or how many
@@ -45,16 +50,17 @@ var (
 // admission order; it returns one prediction per row and the substrate
 // activity the batch accrued (zero for the software path). The batcher
 // calls it from a single dispatcher goroutine, so implementations need not
-// be re-entrant.
+// be re-entrant. The batcher reuses the rows slice for the next batch, so
+// an implementation must not retain it (or its row slices) after returning.
 type InferFn func(rows [][]float32) ([]int, crossbar.Stats, error)
 
-// BatcherConfig tunes the latency/throughput trade-off of the micro-batcher.
+// BatcherConfig sizes the micro-batcher. There is no delay knob: a batch
+// holds whatever was queued when the dispatcher became free, so batch size
+// follows the offered load on its own.
 type BatcherConfig struct {
-	// MaxBatch closes a batch at this many requests. 1 disables coalescing.
+	// MaxBatch caps the rows one batch takes from the queue. 1 disables
+	// coalescing.
 	MaxBatch int
-	// MaxDelay closes a batch this long after its first request was picked
-	// up, bounding the latency a lone request pays waiting for company.
-	MaxDelay time.Duration
 	// QueueDepth bounds the admission queue; a full queue rejects with
 	// ErrQueueFull instead of queueing unbounded latency.
 	QueueDepth int
@@ -70,9 +76,6 @@ type BatcherConfig struct {
 func (c BatcherConfig) withDefaults() BatcherConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
@@ -99,14 +102,20 @@ type result struct {
 }
 
 // Batcher coalesces concurrent single-row submissions into batched InferFn
-// calls: a batch closes when MaxBatch rows have gathered or MaxDelay has
-// passed since its first row, whichever comes first.
+// calls. The dispatcher blocks for the first request, takes whatever else is
+// already queued (up to MaxBatch) without blocking, and dispatches; requests
+// arriving meanwhile form the next batch.
 type Batcher struct {
 	cfg   BatcherConfig
 	infer InferFn
 	met   *Metrics
 
 	queue chan *request
+
+	// Batch buffers owned by the dispatcher goroutine and reused across
+	// batches, so a steady stream of one-row batches allocates nothing here.
+	batch []*request
+	rows  [][]float32
 
 	mu      sync.RWMutex // guards closed against concurrent queue sends
 	closed  bool
@@ -178,7 +187,9 @@ func (b *Batcher) Close() {
 }
 
 // run is the dispatcher: it owns batch formation, so exactly one InferFn
-// call is in flight at a time and the backend needs no locking.
+// call is in flight at a time and the backend needs no locking. It never
+// waits for company: an idle lane dispatches a lone request at once, and a
+// busy one coalesces whatever queued up while the previous batch ran.
 func (b *Batcher) run() {
 	defer close(b.drained)
 	for {
@@ -186,45 +197,51 @@ func (b *Batcher) run() {
 		if !ok {
 			return // closed and fully drained
 		}
-		batch := []*request{first}
-		timer := time.NewTimer(b.cfg.MaxDelay)
-	collect:
-		for len(batch) < b.cfg.MaxBatch {
+		b.batch = append(b.batch[:0], first)
+	drain:
+		for len(b.batch) < b.cfg.MaxBatch {
 			select {
 			case req, ok := <-b.queue:
 				if !ok {
-					break collect // shutdown: flush this final partial batch
+					break drain // shutdown: flush this final partial batch
 				}
-				batch = append(batch, req)
-			case <-timer.C:
-				break collect
+				b.batch = append(b.batch, req)
+			default:
+				break drain // nothing else queued: dispatch now
 			}
 		}
-		timer.Stop()
-		b.dispatch(batch)
+		b.dispatch(b.batch)
+		// Answered requests and their rows must not stay reachable from the
+		// reused buffers while the lane idles.
+		clear(b.batch)
+		clear(b.rows)
 	}
 }
 
 // dispatch evaluates one closed batch and distributes the results. Requests
 // whose context is already done are answered without spending substrate
-// work on them.
+// work on them. Each outcome is counted before its caller is answered, so a
+// caller that reads the metrics after Submit returns sees its own request.
 func (b *Batcher) dispatch(batch []*request) {
-	live := make([]*request, 0, len(batch))
+	start := time.Now()
+	live := batch[:0] // filtered in place: each kept request moves down, never up
 	for _, req := range batch {
 		if err := req.ctx.Err(); err != nil {
-			req.resp <- result{err: err}
 			b.met.cancel()
+			req.resp <- result{err: err}
 			continue
 		}
+		b.met.observeQueueWait(start.Sub(req.enqueued))
 		live = append(live, req)
 	}
 	if len(live) == 0 {
 		return
 	}
-	rows := make([][]float32, len(live))
-	for i, req := range live {
-		rows[i] = req.row
+	rows := b.rows[:0]
+	for _, req := range live {
+		rows = append(rows, req.row)
 	}
+	b.rows = rows
 	// The explicit nil guard (rather than relying on the nil-tracer no-op)
 	// keeps the disabled path free of the variadic label slice and the
 	// strconv call, preserving the zero-allocation dispatch.
@@ -243,8 +260,8 @@ func (b *Batcher) dispatch(batch []*request) {
 	}
 	if err != nil {
 		for _, req := range live {
-			req.resp <- result{err: err}
 			b.met.fail()
+			req.resp <- result{err: err}
 		}
 		return
 	}
@@ -256,12 +273,12 @@ func (b *Batcher) dispatch(batch []*request) {
 		// (Submit returned ctx.Err()); counting the delivery as completed
 		// with an observed latency would flatter the stats.
 		if cerr := req.ctx.Err(); cerr != nil {
-			req.resp <- result{err: cerr}
 			b.met.cancel()
+			req.resp <- result{err: cerr}
 			continue
 		}
-		req.resp <- result{pred: preds[i]}
 		b.met.observeDone(now.Sub(req.enqueued))
+		req.resp <- result{pred: preds[i]}
 	}
 }
 

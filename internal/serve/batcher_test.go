@@ -21,20 +21,46 @@ func echoInfer(rows [][]float32) ([]int, crossbar.Stats, error) {
 	return preds, crossbar.Stats{}, nil
 }
 
+// holdFirstBatch wraps infer so its first call signals entered and then
+// blocks until release is closed. With the dispatcher parked inside that
+// batch, a test can queue more requests and know exactly how they coalesce:
+// the batcher never waits for company, so only work that is already queued
+// when the dispatcher frees up shares a batch.
+func holdFirstBatch(infer InferFn) (fn InferFn, entered <-chan struct{}, release chan<- struct{}) {
+	in, rel := make(chan struct{}), make(chan struct{})
+	held := false // touched only by the single dispatcher goroutine
+	fn = func(rows [][]float32) ([]int, crossbar.Stats, error) {
+		if !held {
+			held = true
+			close(in)
+			<-rel
+		}
+		return infer(rows)
+	}
+	return fn, in, rel
+}
+
 func TestBatcherPairsRequestsToResponses(t *testing.T) {
-	b := NewBatcher(BatcherConfig{MaxBatch: 8, MaxDelay: time.Millisecond}, echoInfer, nil)
+	infer, entered, release := holdFirstBatch(echoInfer)
+	b := NewBatcher(BatcherConfig{MaxBatch: 8}, infer, nil)
 	defer b.Close()
 	const n = 64
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	preds := make([]int, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			preds[i], errs[i] = b.Submit(context.Background(), []float32{float32(i)})
-		}(i)
+	submit := func(i int) {
+		defer wg.Done()
+		preds[i], errs[i] = b.Submit(context.Background(), []float32{float32(i)})
 	}
+	wg.Add(1)
+	go submit(0)
+	<-entered // request 0 is in flight alone; the rest queue behind it
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go submit(i)
+	}
+	waitDepth(t, b, n-1)
+	close(release)
 	wg.Wait()
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
@@ -53,19 +79,78 @@ func TestBatcherPairsRequestsToResponses(t *testing.T) {
 	}
 }
 
-func TestBatcherFlushesLoneRequestAfterMaxDelay(t *testing.T) {
-	b := NewBatcher(BatcherConfig{MaxBatch: 1000, MaxDelay: 10 * time.Millisecond}, echoInfer, nil)
+func TestBatcherDispatchesLoneRequestWithoutWaiting(t *testing.T) {
+	b := NewBatcher(BatcherConfig{MaxBatch: 1000}, echoInfer, nil)
 	defer b.Close()
 	start := time.Now()
 	pred, err := b.Submit(context.Background(), []float32{42})
 	if err != nil || pred != 42 {
 		t.Fatalf("got (%d, %v)", pred, err)
 	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("lone request waited %v — MaxDelay flush did not fire", waited)
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("lone request waited %v on an idle lane", waited)
 	}
 	if st := b.Metrics().Snapshot(0); st.BatchSizes["1"] != 1 {
 		t.Fatalf("batch-size histogram %v, want one batch of 1", st.BatchSizes)
+	}
+}
+
+// Close must flush requests still queued behind a running batch as a final
+// partial batch, not drop them.
+func TestBatcherCloseFlushesQueuedPartialBatch(t *testing.T) {
+	infer, entered, release := holdFirstBatch(echoInfer)
+	b := NewBatcher(BatcherConfig{MaxBatch: 8}, infer, nil)
+	const n = 4
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	preds := make([]int, n)
+	submit := func(i int) {
+		defer wg.Done()
+		preds[i], errs[i] = b.Submit(context.Background(), []float32{float32(i)})
+	}
+	wg.Add(n)
+	go submit(0)
+	<-entered
+	for i := 1; i < n; i++ {
+		go submit(i)
+	}
+	waitDepth(t, b, n-1)
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	waitClosed(t, b)
+	close(release)
+	<-closed
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil || preds[i] != i {
+			t.Fatalf("request %d got (%d, %v) after Close", i, preds[i], errs[i])
+		}
+	}
+	st := b.Metrics().Snapshot(0)
+	if st.Completed != n || st.BatchSizes["1"] != 1 || st.BatchSizes["3"] != 1 {
+		t.Fatalf("completed %d, batch sizes %v; want %d completed in batches of 1 and 3", st.Completed, st.BatchSizes, n)
+	}
+}
+
+// waitClosed polls until Close has flipped the batcher's closed flag; Close
+// does so before it blocks on the drain.
+func waitClosed(t *testing.T, b *Batcher) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b.mu.RLock()
+		flagged := b.closed
+		b.mu.RUnlock()
+		if flagged {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Close never flipped the closed flag")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
@@ -78,7 +163,7 @@ func TestBatcherBackpressure(t *testing.T) {
 		return echoInfer(rows)
 	}
 	const depth = 4
-	b := NewBatcher(BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: depth}, blocked, nil)
+	b := NewBatcher(BatcherConfig{MaxBatch: 1, QueueDepth: depth}, blocked, nil)
 
 	results := make(chan error, depth+1)
 	submit := func() {
@@ -126,15 +211,25 @@ func waitDepth(t *testing.T, b *Batcher, want int) {
 
 func TestBatcherSkipsCanceledRequests(t *testing.T) {
 	var mu sync.Mutex
-	rowsSeen := 0
-	counting := func(rows [][]float32) ([]int, crossbar.Stats, error) {
+	var seen []float32
+	recording := func(rows [][]float32) ([]int, crossbar.Stats, error) {
 		mu.Lock()
-		rowsSeen += len(rows)
+		for _, row := range rows {
+			seen = append(seen, row[0])
+		}
 		mu.Unlock()
 		return echoInfer(rows)
 	}
-	b := NewBatcher(BatcherConfig{MaxBatch: 2, MaxDelay: 50 * time.Millisecond}, counting, nil)
+	infer, entered, release := holdFirstBatch(recording)
+	b := NewBatcher(BatcherConfig{MaxBatch: 2}, infer, nil)
 	defer b.Close()
+
+	blocker := make(chan error, 1)
+	go func() {
+		_, err := b.Submit(context.Background(), []float32{5})
+		blocker <- err
+	}()
+	<-entered // the dispatcher is busy; A and the live request queue as one batch
 
 	ctxA, cancelA := context.WithCancel(context.Background())
 	errA := make(chan error, 1)
@@ -142,20 +237,32 @@ func TestBatcherSkipsCanceledRequests(t *testing.T) {
 		_, err := b.Submit(ctxA, []float32{1})
 		errA <- err
 	}()
-	time.Sleep(2 * time.Millisecond) // let A reach the dispatcher
+	waitDepth(t, b, 1)
+	live := make(chan int, 1)
+	go func() {
+		pred, err := b.Submit(context.Background(), []float32{7})
+		if err != nil {
+			t.Errorf("live request: %v", err)
+		}
+		live <- pred
+	}()
+	waitDepth(t, b, 2)
 	cancelA()
-	pred, err := b.Submit(context.Background(), []float32{7})
-	if err != nil || pred != 7 {
-		t.Fatalf("live request got (%d, %v)", pred, err)
-	}
 	if err := <-errA; !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled request returned %v", err)
 	}
+	close(release)
+	if pred := <-live; pred != 7 {
+		t.Fatalf("live request got %d, want 7", pred)
+	}
+	if err := <-blocker; err != nil {
+		t.Fatalf("blocking request: %v", err)
+	}
 	mu.Lock()
-	seen := rowsSeen
+	got := append([]float32(nil), seen...)
 	mu.Unlock()
-	if seen != 1 {
-		t.Fatalf("backend evaluated %d rows, want 1 — canceled work was not shed", seen)
+	if len(got) != 2 || got[0] != 5 || got[1] != 7 {
+		t.Fatalf("backend evaluated rows %v, want [5 7] — canceled work was not shed", got)
 	}
 	if st := b.Metrics().Snapshot(0); st.Canceled != 1 {
 		t.Fatalf("canceled = %d, want 1", st.Canceled)
@@ -167,7 +274,7 @@ func TestBatcherPropagatesBackendError(t *testing.T) {
 	failing := func(rows [][]float32) ([]int, crossbar.Stats, error) {
 		return nil, crossbar.Stats{}, boom
 	}
-	b := NewBatcher(BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond}, failing, nil)
+	b := NewBatcher(BatcherConfig{MaxBatch: 4}, failing, nil)
 	defer b.Close()
 	if _, err := b.Submit(context.Background(), []float32{1}); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the backend error", err)
@@ -185,7 +292,7 @@ func TestBatcherCloseDrainsAdmittedRefusesNew(t *testing.T) {
 		<-release
 		return echoInfer(rows)
 	}
-	b := NewBatcher(BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 8}, blocked, nil)
+	b := NewBatcher(BatcherConfig{MaxBatch: 1, QueueDepth: 8}, blocked, nil)
 
 	const admitted = 3
 	results := make(chan error, admitted)
@@ -205,19 +312,7 @@ func TestBatcherCloseDrainsAdmittedRefusesNew(t *testing.T) {
 	}()
 	// Close must refuse new work as soon as it flips the flag (it does so
 	// before blocking on the drain)...
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		b.mu.RLock()
-		flagged := b.closed
-		b.mu.RUnlock()
-		if flagged {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("Close never flipped the closed flag")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	waitClosed(t, b)
 	if _, err := b.Submit(context.Background(), []float32{1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit during drain returned %v, want ErrClosed", err)
 	}
@@ -269,7 +364,7 @@ func TestQuantileNearestRank(t *testing.T) {
 }
 
 func ExampleBatcher() {
-	b := NewBatcher(BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond}, echoInfer, nil)
+	b := NewBatcher(BatcherConfig{MaxBatch: 4}, echoInfer, nil)
 	defer b.Close()
 	pred, _ := b.Submit(context.Background(), []float32{3})
 	fmt.Println(pred)

@@ -11,9 +11,9 @@ import (
 
 // BenchmarkServeBatching sweeps the batcher's MaxBatch under a fixed
 // open-loop offered load — arrivals every 200µs no matter how the batcher
-// keeps up — which is the regime where the latency/throughput trade-off of
-// micro-batching shows: MaxBatch=1 pays per-row dispatch on every request,
-// larger batches amortize it at the cost of coalescing delay.
+// keeps up — which is the regime where micro-batching shows: MaxBatch=1
+// pays per-row dispatch on every request, while larger caps let a backlog
+// that built up during one batch leave as the next.
 //
 //	go test ./internal/serve/ -bench ServeBatching -benchtime 2000x
 func BenchmarkServeBatching(b *testing.B) {
@@ -26,7 +26,6 @@ func BenchmarkServeBatching(b *testing.B) {
 			}
 			bt := NewBatcher(BatcherConfig{
 				MaxBatch:   maxBatch,
-				MaxDelay:   time.Millisecond,
 				QueueDepth: b.N + 1, // the sweep measures batching, not shedding
 			}, infer, nil)
 			defer bt.Close()

@@ -26,8 +26,8 @@ var latencyBuckets = obs.ExpBuckets(0.0001, 2, 17)
 var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // Metrics aggregates one serving lane's counters: admission and outcome
-// counts, the batch-size distribution, a sliding latency window, and the
-// substrate activity (NOR cycles, crossbar energy) folded out of rna.Stats.
+// counts, the batch-size distribution, queue-wait and end-to-end latency
+// histograms, a sliding latency window, and the substrate activity (NOR cycles, crossbar energy) folded out of rna.Stats.
 //
 // Since the observability rebase the counters and histograms are obs
 // registry instruments — pre-registered handles whose observations are
@@ -44,6 +44,7 @@ type Metrics struct {
 	batches   *obs.Counter
 	batchSzH  *obs.Histogram
 	latencyH  *obs.Histogram
+	waitH     *obs.Histogram
 	subCycles *obs.Counter
 	subNORs   *obs.Counter
 	subReads  *obs.Counter
@@ -90,6 +91,8 @@ func NewMetricsIn(reg *obs.Registry, lane string) *Metrics {
 			"Rows per dispatched batch.", batchSizeBuckets, l),
 		latencyH: reg.Histogram("rapidnn_serve_latency_seconds",
 			"End-to-end request latency from admission to delivery.", latencyBuckets, l),
+		waitH: reg.Histogram("rapidnn_serve_queue_wait_seconds",
+			"Time a request spent queued, from admission to the dispatch of its batch.", latencyBuckets, l),
 		subCycles: reg.Counter("rapidnn_serve_substrate_cycles_total", "Substrate cycles spent on this lane.", l),
 		subNORs:   reg.Counter("rapidnn_serve_substrate_nors_total", "NOR gate evaluations spent on this lane.", l),
 		subReads:  reg.Counter("rapidnn_serve_substrate_reads_total", "Crossbar reads spent on this lane.", l),
@@ -121,6 +124,8 @@ func (m *Metrics) observeBatch(size int, stats crossbar.Stats) {
 	m.hw.EnergyJ += stats.EnergyJ
 	m.mu.Unlock()
 }
+
+func (m *Metrics) observeQueueWait(d time.Duration) { m.waitH.Observe(d.Seconds()) }
 
 func (m *Metrics) observeDone(d time.Duration) {
 	m.completed.Inc()

@@ -72,6 +72,7 @@ func TestMetricsLaneExposition(t *testing.T) {
 	m := NewMetricsIn(reg, "mnist/hardware")
 	m.admit()
 	m.observeBatch(3, crossbar.Stats{Cycles: 100, NORs: 400, Reads: 7, Writes: 2, EnergyJ: 0.25})
+	m.observeQueueWait(300 * time.Microsecond)
 	m.observeDone(2 * time.Millisecond)
 	m.cancel()
 
@@ -89,6 +90,7 @@ func TestMetricsLaneExposition(t *testing.T) {
 		`rapidnn_serve_substrate_nors_total{lane="mnist/hardware"} 400`,
 		`rapidnn_serve_substrate_energy_joules_total{lane="mnist/hardware"} 0.25`,
 		`rapidnn_serve_batch_size_bucket{lane="mnist/hardware",le="4"} 1`,
+		`rapidnn_serve_queue_wait_seconds_count{lane="mnist/hardware"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\nfull output:\n%s", want, out)
@@ -106,6 +108,7 @@ func TestMetricsObservationsDoNotAllocate(t *testing.T) {
 	m.observeBatch(8, stats)
 	if allocs := testing.AllocsPerRun(200, func() {
 		m.admit()
+		m.observeQueueWait(20 * time.Microsecond)
 		m.observeBatch(8, stats)
 		m.observeDone(time.Millisecond)
 	}); allocs != 0 {

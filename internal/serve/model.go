@@ -272,7 +272,9 @@ func (m *Model) inferFn(p Path) (InferFn, error) {
 // of any other width — a request admitted against a feature width that a
 // concurrent Scrub then changed — is rejected here rather than silently
 // mis-sliced. InferFn runs on the dispatcher goroutine only, so the closures
-// above can keep one buffer each.
+// above can keep one buffer each. Copying the rows here is also what keeps
+// them within the InferFn contract: neither closure retains rows after it
+// returns.
 func flattenBatch(buf []float32, rows [][]float32, in int) ([]float32, error) {
 	buf = buf[:0]
 	for i, row := range rows {

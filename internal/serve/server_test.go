@@ -95,17 +95,31 @@ func TestServeConcurrentClientsBitIdenticalToSerialInfer(t *testing.T) {
 	if err := reg.Add(m); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Config{Batcher: BatcherConfig{
-		MaxBatch: 8, MaxDelay: 20 * time.Millisecond, QueueDepth: clients * 2,
-	}})
+	s := NewServer(reg, Config{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	defer s.Close()
+	// Pre-create the hardware lane with its real backend held on the first
+	// batch, so the other clients demonstrably queue behind it and coalesce.
+	hwInfer, err := m.inferFn(PathHardware)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infer, entered, release := holdFirstBatch(hwInfer)
+	key := m.Name + "/" + string(PathHardware)
+	met := NewMetricsIn(s.obs, key)
+	ln := &lane{b: NewBatcher(BatcherConfig{MaxBatch: 8, QueueDepth: clients * 2}, infer, met), met: met}
+	s.mu.Lock()
+	s.lanes[key] = ln
+	s.mu.Unlock()
 
 	got := make([]int, clients)
 	var wg sync.WaitGroup
 	errCh := make(chan error, clients)
 	for i := 0; i < clients; i++ {
+		if i == 1 {
+			<-entered // client 0 is in flight alone
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -122,6 +136,8 @@ func TestServeConcurrentClientsBitIdenticalToSerialInfer(t *testing.T) {
 			got[i] = int(preds[0].(float64))
 		}(i)
 	}
+	waitDepth(t, ln.b, clients-1)
+	close(release)
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
@@ -134,13 +150,9 @@ func TestServeConcurrentClientsBitIdenticalToSerialInfer(t *testing.T) {
 		}
 	}
 
-	// The micro-batcher must actually have coalesced under 48 concurrent
-	// clients, and the folded substrate counters must be bit-identical to
-	// the serial run over the same rows.
-	ln, err := s.laneFor(m, PathHardware)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The micro-batcher must actually have coalesced the 47 clients queued
+	// behind the first, and the folded substrate counters must be
+	// bit-identical to the serial run over the same rows.
 	st := ln.met.Snapshot(0)
 	if st.Admitted != clients || st.Completed != clients {
 		t.Fatalf("admitted %d completed %d, want %d", st.Admitted, st.Completed, clients)
@@ -187,7 +199,7 @@ func TestServeSoftwarePathMatchesReinterpreted(t *testing.T) {
 
 	reg := NewRegistry()
 	reg.Add(m)
-	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond}})
+	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 4}})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	defer s.Close()
@@ -211,7 +223,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	m := syntheticModel(t, false)
 	reg := NewRegistry()
 	reg.Add(m)
-	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 8}})
+	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 1, QueueDepth: 8}})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -302,7 +314,7 @@ func TestServerValidationAndObservability(t *testing.T) {
 	m := syntheticModel(t, false) // no hardware path
 	reg := NewRegistry()
 	reg.Add(m)
-	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond}})
+	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 2}})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	defer s.Close()
