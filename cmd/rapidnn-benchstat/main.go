@@ -200,12 +200,26 @@ func runCheck(baselinePath string, tolerance float64) {
 	if err != nil {
 		fatal(err)
 	}
-	failed := 0
-	checked := 0
+	checked, failed := check(os.Stdout, base, cur, tolerance)
+	if checked == 0 {
+		fatal(fmt.Errorf("no benchmark on stdin matched the %d baseline entries", len(base.Benchmarks)))
+	}
+	if failed > 0 {
+		fatal(fmt.Errorf("%d of %d benchmarks regressed", failed, checked))
+	}
+	fmt.Printf("all %d benchmarks within tolerance\n", checked)
+}
+
+// check prints one line per baseline entry — its fresh numbers and status,
+// or "not run" when the run on stdin did not produce it (a run may exercise
+// a subset of the baseline) — and returns how many entries the run covered
+// and how many of those regressed.
+func check(w io.Writer, base Baseline, cur map[string]Metrics, tolerance float64) (checked, failed int) {
 	for _, e := range base.Benchmarks {
 		got, ok := cur[e.Name]
 		if !ok {
-			continue // the run may exercise a subset of the baseline
+			fmt.Fprintf(w, "%-40s not run\n", e.Name)
+			continue
 		}
 		checked++
 		status := "ok"
@@ -222,15 +236,9 @@ func runCheck(baselinePath string, tolerance float64) {
 		if strings.HasPrefix(status, "FAIL") {
 			failed++
 		}
-		fmt.Printf("%-40s %12.0f ns/op %8.0f allocs/op   %s\n", e.Name, got.NsPerOp, got.AllocsPerOp, status)
+		fmt.Fprintf(w, "%-40s %12.0f ns/op %8.0f allocs/op   %s\n", e.Name, got.NsPerOp, got.AllocsPerOp, status)
 	}
-	if checked == 0 {
-		fatal(fmt.Errorf("no benchmark on stdin matched the %d baseline entries", len(base.Benchmarks)))
-	}
-	if failed > 0 {
-		fatal(fmt.Errorf("%d of %d benchmarks regressed", failed, checked))
-	}
-	fmt.Printf("all %d benchmarks within tolerance\n", checked)
+	return checked, failed
 }
 
 func emit(b Baseline, outPath string) {

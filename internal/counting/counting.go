@@ -74,17 +74,23 @@ func ParallelCount(pairs []Pair, w int) CountResult {
 	return res
 }
 
-// CountFlat is the allocation-free form of ParallelCount for hot-path
-// callers: the occurrence counts land in the caller's flat histogram
-// counts[wIdx·u + uIdx] (length ≥ w·u, zeroed by CountFlat before use), and
-// the cycle count of the parallel scheme — the largest per-weight bucket —
-// is returned without the cycle-accurate replay. The replay's
-// conflict-freedom invariant holds by construction (each weight buffer pops
-// exactly one pending input per cycle, and pairs from distinct buffers
-// differ in W), so the flat histogram is exactly ParallelCount's Counts;
-// TestCountFlatMatchesParallelCount pins the equivalence. It panics on an
-// index outside [0,w)×[0,u) and on mismatched operand slices.
-func CountFlat(weightIdx, inputIdx []int, w, u int, counts []int) (cycles int) {
+// CountFlat is the allocation-free counting phase for hot-path callers. The
+// occurrence counts land in the caller's flat histogram counts[wIdx·u + uIdx]
+// (length ≥ w·u), and each counted bucket sets bit wIdx·u + uIdx of the
+// caller's bitmap touched (length ≥ ⌈w·u/64⌉ words). Scanning the bitmap
+// word by word with bits.TrailingZeros64 visits exactly the counted
+// products, in ascending (w,u) order, without walking the w·u buckets a
+// sparse neuron never touched.
+//
+// Both buffers must be all-zero on entry; CountFlat never clears them
+// wholesale. The caller keeps them clean by zeroing each bucket and bitmap
+// word as it reads them. The histogram is exactly ParallelCount's Counts
+// (TestCountFlatMatchesParallelCount). The cycle count of the parallel
+// scheme is not computed here: no hot-path caller reads it, and
+// ParallelCount remains its oracle. CountFlat panics on mismatched operand
+// slices, short buffers and an index outside [0,w)×[0,u); a rejected edge
+// list leaves both buffers as clean as it found them.
+func CountFlat(weightIdx, inputIdx []int, w, u int, counts []int, touched []uint64) {
 	if len(weightIdx) != len(inputIdx) {
 		panic(fmt.Sprintf("counting: %d weights vs %d inputs", len(weightIdx), len(inputIdx)))
 	}
@@ -94,52 +100,30 @@ func CountFlat(weightIdx, inputIdx []int, w, u int, counts []int) (cycles int) {
 	if len(counts) < w*u {
 		panic(fmt.Sprintf("counting: histogram holds %d pairs, need %d", len(counts), w*u))
 	}
+	if need := (w*u + 63) / 64; len(touched) < need {
+		panic(fmt.Sprintf("counting: bitmap holds %d words, need %d", len(touched), need))
+	}
 	counts = counts[:w*u]
-	for i := range counts {
-		counts[i] = 0
-	}
-	// Cycles = the largest per-weight bucket: one pop per buffer per cycle.
-	// The bucket maxima are tracked during the increment pass — O(edges+w)
-	// instead of rescanning the full w·u histogram afterwards, which
-	// dominates for sparse layers. Codebooks are small, so the per-weight
-	// bucket sizes fit a stack array for every realistic w; a wider w falls
-	// back to the histogram rescan rather than allocating.
-	var bstack [64]int
-	var buckets []int
-	if w <= len(bstack) {
-		buckets = bstack[:w]
-	}
 	for i, wi := range weightIdx {
 		ui := inputIdx[i]
-		if wi < 0 || wi >= w {
-			panic(fmt.Sprintf("counting: weight index %d out of [0,%d)", wi, w))
+		if uint(wi) >= uint(w) || uint(ui) >= uint(u) {
+			uncount(weightIdx[:i], inputIdx[:i], u, counts, touched)
+			panic(fmt.Sprintf("counting: edge %d indexes (%d,%d), outside [0,%d)×[0,%d)", i, wi, ui, w, u))
 		}
-		if ui < 0 || ui >= u {
-			panic(fmt.Sprintf("counting: input index %d out of [0,%d)", ui, u))
-		}
-		counts[wi*u+ui]++
-		if buckets != nil {
-			b := buckets[wi] + 1
-			buckets[wi] = b
-			if b > cycles {
-				cycles = b
-			}
-		}
+		idx := wi*u + ui
+		counts[idx]++
+		touched[idx>>6] |= 1 << (idx & 63)
 	}
-	if buckets != nil {
-		return cycles
+}
+
+// uncount zeroes the buckets and bitmap words the (already validated) edges
+// touched, restoring the clean-on-entry state before CountFlat panics.
+func uncount(weightIdx, inputIdx []int, u int, counts []int, touched []uint64) {
+	for i, wi := range weightIdx {
+		idx := wi*u + inputIdx[i]
+		counts[idx] = 0
+		touched[idx>>6] = 0
 	}
-	for wi := 0; wi < w; wi++ {
-		row := counts[wi*u : (wi+1)*u]
-		sum := 0
-		for _, c := range row {
-			sum += c
-		}
-		if sum > cycles {
-			cycles = sum
-		}
-	}
-	return cycles
 }
 
 // Term is one shifted addend of a count decomposition: ±(value << Shift).
@@ -158,9 +142,10 @@ func Decompose(c int) []Term {
 }
 
 // DecomposeAppend is Decompose with caller-owned storage: the terms append
-// to dst (usually a scratch slice reset to length 0), so a hot loop that
-// reuses one buffer decomposes without allocating once the buffer has grown
-// to the working-set size.
+// to dst (usually a scratch slice reset to length 0), so a loop that reuses
+// one buffer decomposes without allocating once the buffer has grown to the
+// working-set size. A caller that needs only the addends of c·v calls
+// AppendShiftAdd instead, which skips the terms altogether.
 func DecomposeAppend(c int, dst []Term) []Term {
 	if c < 0 {
 		panic(fmt.Sprintf("counting: negative count %d", c))
@@ -179,6 +164,29 @@ func DecomposeAppend(c int, dst []Term) []Term {
 		}
 		c >>= 1
 		shift++
+	}
+	return dst
+}
+
+// AppendShiftAdd is the hot-path shift-add expansion of one counted
+// product: it appends to dst the addends whose sum is c·v, one ±(v << Shift)
+// per term of Decompose(c) in the same least-significant-first order, each
+// truncated to the adder word by mask (e.g. 1<<32 − 1 for a 32-bit adder).
+// It runs DecomposeAppend's digit recurrence without materialising the
+// terms, so a caller needs no term buffer (TestAppendShiftAddMatchesDecompose
+// pins the equivalence).
+func AppendShiftAdd(dst []uint64, v int64, c uint, mask uint64) []uint64 {
+	for ; c != 0; v <<= 1 {
+		if c&1 == 1 {
+			if c&3 == 1 {
+				dst = append(dst, uint64(v)&mask)
+				c--
+			} else {
+				dst = append(dst, uint64(-v)&mask)
+				c++
+			}
+		}
+		c >>= 1
 	}
 	return dst
 }

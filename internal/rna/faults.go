@@ -38,7 +38,7 @@ type faultState struct {
 	remap [][]bool
 	// sa0f/sa1f/csa0f/csa1f are the flat, index-parallel fold of stuck with
 	// the remap applied: entry wi·nU+ui holds the word's pinned-cell masks,
-	// zeroed for remapped words (a spare row reads pristine). readProduct
+	// zeroed for remapped words (a spare row reads pristine). faultyProductAt
 	// applies any overlay with two mask ops and no remap branch. Rebuilt by
 	// foldStuck whenever the map or the spare budget changes.
 	sa0f, sa1f   []uint64
@@ -268,18 +268,24 @@ func (r *FuncRNA) foldStuck() {
 	}
 }
 
-// readProduct is the fault-aware fetch of one pre-computed product. With no
-// faults and no parity it is the direct table read. Otherwise the pristine
-// word passes through the flat stuck-cell fold (remapped words carry zero
-// masks), the per-read transient mask, and — when parity is on — the SEC-DED
-// decode, whose corrected/uncorrectable outcomes are counted. Safe for
-// concurrent use during inference.
-func (r *FuncRNA) readProduct(wi, ui int) int64 {
-	f := r.flt
-	idx := wi*r.nU + ui
-	if f == nil && !r.prot.Parity {
+// productAt is the fault-aware fetch of the pre-computed product at flat
+// index idx = w·nU + u. With no faults and no parity it is the direct table
+// read, small enough to inline into the accumulation loop; otherwise the
+// read goes through faultyProductAt. Safe for concurrent use during
+// inference.
+func (r *FuncRNA) productAt(idx int) int64 {
+	if r.flt == nil && !r.prot.Parity {
 		return r.products[idx]
 	}
+	return r.faultyProductAt(idx)
+}
+
+// faultyProductAt is the overlay read: the pristine word passes through the
+// flat stuck-cell fold (remapped words carry zero masks), the per-read
+// transient mask, and — when parity is on — the SEC-DED decode, whose
+// corrected/uncorrectable outcomes are counted.
+func (r *FuncRNA) faultyProductAt(idx int) int64 {
+	f := r.flt
 	data := uint64(r.products[idx]) & math.MaxUint32
 	parity := r.prot.Parity
 	var check uint64

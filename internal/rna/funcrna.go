@@ -3,6 +3,7 @@ package rna
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/counting"
@@ -186,46 +187,40 @@ func (r *FuncRNA) AccumulateBias(weightIdx, inputIdx []int, bias int64) (float64
 }
 
 // AccumulateBiasScratch is AccumulateBias evaluated in the caller's Scratch:
-// the counting histogram, the shift-add terms, the adder operands and the
-// adder's crossbar rows all live in s, so steady state allocates nothing.
-// The sum and the returned Stats are bit-identical to the historical path —
-// the NOR schedule depends only on the addend population, and the flat
-// histogram walks products in deterministic (w,u) order, which the addition
-// is insensitive to.
+// the counting histogram and its touched-bucket bitmap, the adder operands
+// and the adder's crossbar rows all live in s, so steady state allocates
+// nothing. The expansion visits only the buckets the neuron counted, by
+// scanning the bitmap, in ascending (w,u) order — the order of the dense
+// walk it replaces — so product reads, and with them the transient fault
+// events keyed by read sequence, happen in the same order, and the sum and
+// Stats are bit-identical (the NOR schedule depends only on the addend
+// population). Each bucket and bitmap word is zeroed as it is read, which
+// leaves s's histogram clean for the next call without a w·u-sized clear.
 func (r *FuncRNA) AccumulateBiasScratch(weightIdx, inputIdx []int, bias int64, s *Scratch) (float64, crossbar.Stats) {
 	if len(weightIdx) != len(inputIdx) {
 		panic(fmt.Sprintf("rna: %d weights vs %d inputs", len(weightIdx), len(inputIdx)))
 	}
 	// 1. Parallel counting of product occurrences (§4.1.1) into the flat
-	// (w·u) histogram.
-	if need := r.nW * r.nU; cap(s.counts) < need {
-		s.counts = make([]int, need)
-	}
-	counts := s.counts[:r.nW*r.nU]
-	counting.CountFlat(weightIdx, inputIdx, r.nW, r.nU, counts)
+	// (w·u) histogram, marking each touched bucket in the bitmap.
+	counts, touched := s.histogram(r.nW * r.nU)
+	counting.CountFlat(weightIdx, inputIdx, r.nW, r.nU, counts, touched)
 
 	// 2. Shift-add expansion of each counted product into tree addends.
 	addends := s.addends[:0]
-	terms := s.terms[:0]
-	for wi := 0; wi < r.nW; wi++ {
-		row := counts[wi*r.nU : (wi+1)*r.nU]
-		for ui, c := range row {
-			if c == 0 {
-				continue
-			}
-			prod := r.readProduct(wi, ui)
-			terms = counting.DecomposeAppend(c, terms[:0])
-			for _, t := range terms {
-				v := prod << t.Shift
-				if t.Sub {
-					v = -v
-				}
-				addends = append(addends, uint64(v)&math.MaxUint32)
-			}
+	for k, word := range touched {
+		if word == 0 {
+			continue
+		}
+		touched[k] = 0
+		for ; word != 0; word &= word - 1 {
+			idx := k<<6 + bits.TrailingZeros64(word)
+			c := counts[idx]
+			counts[idx] = 0
+			addends = counting.AppendShiftAdd(addends, r.productAt(idx), uint(c), math.MaxUint32)
 		}
 	}
 	addends = append(addends, uint64(bias)&math.MaxUint32)
-	s.addends, s.terms = addends, terms
+	s.addends = addends
 
 	// 3. NOR-decomposed in-memory addition (§4.1.2).
 	raw, stats := s.add.AddMany(r.dev, addends, sumWidth)

@@ -1,6 +1,7 @@
 package rna
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -36,6 +37,32 @@ func BenchmarkNeuronFire(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Eval(wi, ui, 0)
+	}
+}
+
+// BenchmarkAccumulate measures the weighted-accumulation stage alone —
+// counting, touched-bucket shift-add expansion and NOR addition — in a
+// worker-owned Scratch, on 16×16 codebooks at the fan-ins of the bulk-conv
+// benchmark model's layers: 27 and 72 (3×3 convolutions over 3 and 8
+// channels, which touch a small share of the 256 buckets) and 2048 (the
+// dense fc1 layer, which touches nearly all of them).
+func BenchmarkAccumulate(b *testing.B) {
+	r, _, _ := hotNeuron()
+	for _, fanin := range []int{27, 72, 2048} {
+		b.Run(fmt.Sprintf("fanin=%d", fanin), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(fanin)))
+			wi := make([]int, fanin)
+			ui := make([]int, fanin)
+			for i := range wi {
+				wi[i], ui[i] = rng.Intn(r.nW), rng.Intn(r.nU)
+			}
+			s := NewScratch()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.AccumulateBiasScratch(wi, ui, 0, s)
+			}
+		})
 	}
 }
 

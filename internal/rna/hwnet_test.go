@@ -1,7 +1,6 @@
 package rna
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -282,7 +281,10 @@ func TestInferBatchMatchesSerialInfer(t *testing.T) {
 
 // BenchmarkHardwareInferBatch measures the hardware-in-the-loop batch at
 // several worker counts. The wall time should fall as workers rise toward
-// GOMAXPROCS while TestInferBatchMatchesSerialInfer pins the results.
+// GOMAXPROCS while TestInferBatchMatchesSerialInfer pins the results. The
+// GOMAXPROCS case is named workers=max, not after its value, so the
+// sub-benchmark names (and the baseline keys built from them) are the same
+// on every host.
 func BenchmarkHardwareInferBatch(b *testing.B) {
 	ds := dataset.Generate(dataset.Config{
 		Name: "hwbench", NumClasses: 4, InputShape: []int{20},
@@ -301,9 +303,12 @@ func BenchmarkHardwareInferBatch(b *testing.B) {
 	}
 	const n = 48
 	batch := tensor.FromSlice(ds.TestX.Data()[:n*ds.InSize()], n, ds.InSize())
-	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			hw.Workers = workers
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=2", 2}, {"workers=max", runtime.GOMAXPROCS(0)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			hw.Workers = bc.workers
 			for i := 0; i < b.N; i++ {
 				if _, err := hw.InferBatch(batch); err != nil {
 					b.Fatal(err)

@@ -3,7 +3,6 @@ package rna
 import (
 	"sync"
 
-	"repro/internal/counting"
 	"repro/internal/crossbar"
 	"repro/internal/device"
 	"repro/internal/ndcam"
@@ -11,10 +10,10 @@ import (
 
 // Scratch is the per-worker working set of the hot inference path. Every
 // buffer the pipeline needs between two neuron fires — the counting
-// histogram, the shift-add term and addend lists, the in-memory adder's row
-// storage and schedule table, the batch-scoped CAM lookup cache, the
-// reusable pooling CAM, and the per-input activation buffers of the network
-// executor — lives here, so a worker that owns one Scratch evaluates neurons
+// histogram and its touched-bucket bitmap, the addend list, the in-memory
+// adder's row storage and schedule table, the batch-scoped CAM lookup cache,
+// the reusable pooling CAM, and the per-input activation buffers of the
+// network executor — lives here, so a worker that owns one Scratch evaluates neurons
 // and whole inputs without allocating in steady state.
 //
 // Ownership rules: a Scratch is NOT safe for concurrent use — it is the
@@ -23,10 +22,13 @@ import (
 // scratch parameter borrow one from an internal sync.Pool per call, so they
 // stay allocation-light and safe from any number of goroutines.
 type Scratch struct {
-	// Neuron-fire pipeline.
-	counts  []int           // flat (w·u) counting histogram
-	terms   []counting.Term // shift-add decomposition of one count
-	addends []uint64        // adder operands of one accumulation
+	// Neuron-fire pipeline. counts is the flat (w·u) counting histogram and
+	// touched its bitmap of counted buckets (bit w·nU+u). Both are all-zero
+	// between calls: AccumulateBiasScratch zeroes each bucket and word as it
+	// reads it.
+	counts  []int
+	touched []uint64
+	addends []uint64 // adder operands of one accumulation
 	add     crossbar.AddScratch
 
 	// Batch-scoped CAM lookup cache (camcache.go): activation and encoder
@@ -62,6 +64,21 @@ func (s *Scratch) poolCAM(dev device.Params) *ndcam.NDCAM {
 		s.poolDev = dev
 	}
 	return s.pool
+}
+
+// histogram returns the all-zero counting histogram for n buckets and its
+// touched bitmap, growing them only when n outgrows every earlier size. A
+// shorter prefix of the clean buffers is clean too, so blocks of different
+// codebook sizes share one Scratch.
+func (s *Scratch) histogram(n int) ([]int, []uint64) {
+	words := (n + 63) / 64
+	if cap(s.counts) < n {
+		s.counts = make([]int, n)
+	}
+	if cap(s.touched) < words {
+		s.touched = make([]uint64, words)
+	}
+	return s.counts[:n], s.touched[:words]
 }
 
 // scratchPool backs the zero-config APIs: callers that do not thread a
